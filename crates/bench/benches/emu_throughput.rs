@@ -1,10 +1,10 @@
 //! Emulation and crypto throughput — the two raw feeds of verification
-//! cost, tracked so the fast-path speedups (predecoded icache,
+//! cost, tracked so the fast-path speedups (superblock dispatch,
 //! zero-allocation `step_into`, multi-block SHA-256, reusable HMAC keys)
 //! stay visible in the perf trajectory.
 //!
-//! Reported units: steps/sec for the simulator (superblock vs per-step
-//! cached vs forced-decode),
+//! Reported units: steps/sec for the simulator (superblock vs
+//! forced-decode),
 //! MiB/s for hashing, MACs/sec for the keyed-context HMAC path and for the
 //! batch proof-tag path (scalar vs multi-lane, cold vs memoized ER digest).
 
@@ -25,8 +25,8 @@ fn busy_loop_ram() -> Ram {
     ram
 }
 
-/// A long straight-line program (the worst case for an icache within one
-/// pass — every PC executes once — and the best across passes).
+/// A long straight-line program: every PC executes once per pass, so only
+/// reuse across passes can amortise decoding.
 fn straight_line_ram() -> (Ram, u16) {
     let mut ram = Ram::new();
     let mut at = 0xA000u16;
@@ -46,35 +46,32 @@ fn run_block_steps(cpu: &mut Cpu, ram: &mut Ram, step: &mut Step, steps: usize) 
     }
 }
 
-/// Interleaved A/B for the dispatch layers: alternate forced-decode,
-/// per-step icache and superblock dispatch round-robin so frequency
-/// scaling and cache state hit all of them equally, then print steps/s,
-/// the speedup ratios and the superblock cache counters (the README
-/// "Performance" table's source). Under `MSP430_FORCE_STEP` the
-/// superblock slot degrades to per-step dispatch, pinning the parity
-/// floor: it must never be slower than the icache column.
+/// Interleaved A/B for the two dispatch paths: alternate forced-decode
+/// and superblock dispatch round-robin so frequency scaling and cache
+/// state hit both equally, then print steps/s, the speedup ratio and the
+/// superblock cache counters (the README "Performance" table's source).
+/// Under `MSP430_FORCE_STEP` the superblock slot degrades to per-step
+/// dispatch, pinning the parity floor: it must match the forced column
+/// within noise.
 fn superblock_ab_report() {
     use std::time::{Duration, Instant};
     const REPS: usize = 40;
     const ROUNDS: usize = 6; // first round is warm-up, not counted
 
-    let mut rams = [busy_loop_ram(), busy_loop_ram(), busy_loop_ram()];
-    let mut cpus = [Cpu::new(), Cpu::new(), Cpu::new()];
-    cpus[0].set_icache_enabled(false);
-    cpus[0].set_superblocks_enabled(false);
-    cpus[1].set_superblocks_enabled(false);
+    let mut rams = [busy_loop_ram(), busy_loop_ram()];
+    let mut cpus = [Cpu::new(), Cpu::new()];
     let mut step = Step::default();
     for cpu in &mut cpus {
         cpu.set_pc(0xE000);
     }
 
-    let mut spent = [Duration::ZERO; 3];
+    let mut spent = [Duration::ZERO; 2];
     for round in 0..ROUNDS {
-        for slot in 0..3 {
+        for slot in 0..2 {
             let (cpu, ram) = (&mut cpus[slot], &mut rams[slot]);
             let t = Instant::now();
             for _ in 0..REPS {
-                if slot == 2 {
+                if slot == 1 {
                     run_block_steps(cpu, ram, &mut step, LOOP_STEPS);
                 } else {
                     for _ in 0..LOOP_STEPS {
@@ -91,15 +88,13 @@ fn superblock_ab_report() {
 
     let steps = (LOOP_STEPS * REPS * (ROUNDS - 1)) as f64;
     let rate = |d: Duration| steps / d.as_secs_f64();
-    let (forced, icache, sblock) = (rate(spent[0]), rate(spent[1]), rate(spent[2]));
-    let stats = cpus[2].superblock_stats();
+    let (forced, sblock) = (rate(spent[0]), rate(spent[1]));
+    let stats = cpus[1].superblock_stats();
     println!(
         "superblock A/B (busy loop{}): forced_decode {forced:.0} steps/s | \
-         icache {icache:.0} steps/s | superblock {sblock:.0} steps/s | \
-         superblock/icache = {:.2}x | superblock/forced = {:.2}x | \
+         superblock {sblock:.0} steps/s | superblock/forced = {:.2}x | \
          blocks: {} hits, {} misses, {} restitches",
-        if cpus[2].superblocks_enabled() { "" } else { ", MSP430_FORCE_STEP" },
-        sblock / icache,
+        if cpus[1].superblocks_enabled() { "" } else { ", MSP430_FORCE_STEP" },
         sblock / forced,
         stats.hits,
         stats.misses,
@@ -124,23 +119,9 @@ fn bench_steps(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("cached_10k", |b| {
-        let mut ram = busy_loop_ram();
-        let mut cpu = Cpu::new();
-        cpu.set_pc(0xE000);
-        let mut step = Step::default();
-        b.iter(|| {
-            for _ in 0..LOOP_STEPS {
-                cpu.step_into(&mut ram, &mut step).unwrap();
-            }
-            std::hint::black_box(step.pc);
-        });
-    });
-
     group.bench_function("forced_decode_10k", |b| {
         let mut ram = busy_loop_ram();
         let mut cpu = Cpu::new();
-        cpu.set_icache_enabled(false);
         cpu.set_pc(0xE000);
         let mut step = Step::default();
         b.iter(|| {
@@ -169,23 +150,9 @@ fn bench_steps(c: &mut Criterion) {
             std::hint::black_box(cpu.reg(Reg::R10));
         });
     });
-    group.bench_function("straight_line_2k_warm", |b| {
-        let (mut ram, stop) = straight_line_ram();
-        let mut cpu = Cpu::new();
-        let mut step = Step::default();
-        b.iter(|| {
-            cpu.set_pc(0xA000);
-            cpu.set_reg(Reg::R10, 1);
-            while cpu.pc() != stop {
-                cpu.step_into(&mut ram, &mut step).unwrap();
-            }
-            std::hint::black_box(cpu.reg(Reg::R10));
-        });
-    });
     group.bench_function("straight_line_2k_forced_decode", |b| {
         let (mut ram, stop) = straight_line_ram();
         let mut cpu = Cpu::new();
-        cpu.set_icache_enabled(false);
         let mut step = Step::default();
         b.iter(|| {
             cpu.set_pc(0xA000);

@@ -137,9 +137,10 @@ pub struct EmuWorkspace {
     /// Lazily allocated so constructing a workspace is free: a proof that
     /// fails the cryptographic check never pays for the 64 KiB image.
     ram: Option<Ram>,
-    /// Reused across proofs so the predecoded instruction cache stays warm:
-    /// every batch proof replays the same operation, and cache hits are
-    /// validated against live memory, so reuse is observationally pure.
+    /// Reused across proofs so the stitched superblocks stay warm: every
+    /// batch proof replays the same operation, and block reuse is
+    /// validated against the code pages' write-generations, so reuse is
+    /// observationally pure.
     cpu: Cpu,
     /// Scratch [`Step`] for the allocation-free `step_into` loop.
     step: Step,
@@ -164,12 +165,10 @@ impl EmuWorkspace {
 
     /// Selects the emulator dispatch strategy for subsequent proofs.
     ///
-    /// `icache` toggles the predecoded instruction cache, `superblocks` the
-    /// block-at-a-time dispatch layer on top of it. Both default to on; the
-    /// equivalence tests pin all three configurations (forced decode,
-    /// per-step icache, superblocks) to byte-identical reports.
-    pub fn set_dispatch(&mut self, icache: bool, superblocks: bool) {
-        self.cpu.set_icache_enabled(icache);
+    /// `superblocks` (the default) dispatches block-at-a-time; `false`
+    /// decodes every step, the reference oracle. The equivalence tests pin
+    /// both to byte-identical reports.
+    pub fn set_dispatch(&mut self, superblocks: bool) {
         self.cpu.set_superblocks_enabled(superblocks);
     }
 }
@@ -212,8 +211,8 @@ fn abstract_execute_indexed(
     let r_top = or_stack.r_top();
 
     // Log head: SP base then r8..r15 (entry block order). The workspace
-    // CPU is recycled (warm instruction cache); only its architectural
-    // state is reset.
+    // CPU is recycled (warm superblocks); only its architectural state is
+    // reset.
     let sp_base = or_stack.entry(0).unwrap_or(0);
     let cpu = &mut ws.cpu;
     cpu.reset_regs();

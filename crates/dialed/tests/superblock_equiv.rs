@@ -1,10 +1,9 @@
 //! Dispatch-equivalence property for DIALED verification.
 //!
-//! The abstract-execution emulator has three dispatch configurations:
-//! decode-every-step (the oracle), the predecoded instruction cache, and
-//! superblock block-at-a-time dispatch stacked on the cache. A verifier's
-//! [`Report`] — attack findings, statistics, outcome — must be **byte
-//! identical** across all three, for honest and corrupted proofs alike:
+//! The abstract-execution emulator has two dispatch configurations:
+//! decode-every-step (the oracle) and superblock block-at-a-time dispatch.
+//! A verifier's [`Report`] — attack findings, statistics, outcome — must be
+//! **byte identical** across both, for honest and corrupted proofs alike:
 //! the dispatch layer is a throughput optimisation, never an observable.
 
 use dialed::prelude::*;
@@ -31,17 +30,15 @@ const OP: &str = "\
 fn reports_agree(op: &InstrumentedOp, proof: &DialedProof, chal: &Challenge, seed: u64) -> Report {
     let verifier = DialedVerifier::new(op.clone(), KeyStore::from_seed(seed));
     let mut reports = Vec::new();
-    for (icache, superblocks) in [(false, false), (true, false), (true, true)] {
+    for superblocks in [false, true] {
         let mut ws = EmuWorkspace::new();
-        ws.set_dispatch(icache, superblocks);
-        // Verify twice so the second pass runs against warm caches (the
+        ws.set_dispatch(superblocks);
+        // Verify twice so the second pass runs against warm blocks (the
         // interesting case for block reuse across proofs).
         let _ = verifier.verify_in(&mut ws, &VerifyRequest::new(proof, chal));
         reports.push(verifier.verify_in(&mut ws, &VerifyRequest::new(proof, chal)));
     }
-    let (forced, icache_only, superblock) =
-        (reports.remove(0), reports.remove(0), reports.remove(0));
-    assert_eq!(forced, icache_only, "icache dispatch changed the report");
+    let (forced, superblock) = (reports.remove(0), reports.remove(0));
     assert_eq!(forced, superblock, "superblock dispatch changed the report");
     forced
 }
@@ -49,7 +46,7 @@ fn reports_agree(op: &InstrumentedOp, proof: &DialedProof, chal: &Challenge, see
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Honest proofs verify clean, identically, under all three dispatch
+    /// Honest proofs verify clean, identically, under both dispatch
     /// configurations.
     #[test]
     fn honest_reports_identical_across_dispatch_configs(

@@ -67,8 +67,8 @@ pub use session::{Session, SessionError, SessionId, SessionManager, SessionState
 pub use shard::{HashRing, Shard};
 pub use store::{RecoverError, StateEvent};
 pub use wire::{
-    BatchSummary, ChallengeMsg, FrameReader, GrantMsg, IssueMsg, Message, ProofMsg, RejectMsg,
-    ReportMsg, SubmitMsg, VerdictMsg, WireError,
+    ChallengeMsg, FrameReader, GrantMsg, IssueMsg, Message, ProofMsg, RejectMsg, ReportMsg,
+    SubmitMsg, VerdictMsg, WireError,
 };
 
 use crate::shard::ShardParams;

@@ -11,32 +11,36 @@
 //! drive the core through [`Cpu::step_into`], which fills a caller-owned
 //! [`Step`] instead of returning a fresh one. Because a `Step` embeds its
 //! bus accesses in an inline [`AccessBuf`], a steady-state
-//! `step_into` loop performs **zero heap allocations**. Decoding is served
-//! from a lazily built predecoded instruction cache (the crate-private
-//! `icache` module) that
-//! is validated against the live instruction words on every hit, so writes
-//! into code memory — from any bus master — force a re-decode without
-//! explicit invalidation hooks.
+//! `step_into` loop performs **zero heap allocations**.
 //!
-//! One level further up, [`Cpu::step_block_into`] dispatches *superblocks*:
+//! # Dispatch: one fast path, one oracle
+//!
+//! [`Cpu::step_block_into`] is the fast path. It dispatches *superblocks*:
 //! straight-line runs of predecoded instructions ending at control flow,
 //! SR writes, log-site break addresses or page boundaries, validated for
-//! reuse by the bus's per-page write-generations. The steady-state block
-//! loop touches no per-step metadata at all; per-step observers still see
-//! every [`Step`] through a callback. `MSP430_FORCE_STEP=1` in the
-//! environment disables block dispatch process-wide
-//! ([`superblocks_forced_off`]).
+//! reuse by the bus's per-page write-generations, so writes into code
+//! memory — from any bus master — force a re-stitch without explicit
+//! invalidation hooks. The steady-state block loop touches no per-step
+//! metadata at all; per-step observers still see every [`Step`] through a
+//! callback.
+//!
+//! [`Cpu::step_into`] decodes the instruction at PC on every call. It is
+//! the reference oracle, and the fallback for entries no block serves
+//! (halt, interrupt entry, odd or untracked PC, undecodable opcode).
+//! [`Cpu::set_superblocks_enabled`]`(false)`, or `MSP430_FORCE_STEP=1` in
+//! the environment process-wide ([`superblocks_forced_off`]), makes every
+//! block dispatch degrade to one `step_into`.
 
 use crate::cycles::{insn_cycles, IRQ_CYCLES};
 use crate::flags;
-use crate::icache::{
-    page_base, Block, BlockBreaks, BlockInsn, ICache, ICacheStats, Stamp, SuperCache,
-    SuperblockStats, MAX_BLOCK_INSNS, MAX_INSN_WORDS,
-};
 use crate::isa::{Cond, DecodeError, Insn, Op1, Op2, Operand, Size};
 use crate::layout::RESET_VECTOR;
 use crate::mem::{Access, AccessBuf, AccessKind, Bus};
 use crate::regs::{Reg, RegFile};
+use crate::superblock::{
+    page_base, Block, BlockBreaks, BlockInsn, SuperCache, SuperblockStats, MAX_BLOCK_INSNS,
+    MAX_INSN_WORDS,
+};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -132,8 +136,6 @@ pub struct Cpu {
     /// Architectural register file.
     pub regs: RegFile,
     pending_irq: Option<u8>,
-    icache: ICache,
-    icache_enabled: bool,
     sblocks: SuperCache,
     sblocks_enabled: bool,
 }
@@ -143,8 +145,6 @@ impl Default for Cpu {
         Self {
             regs: RegFile::new(),
             pending_irq: None,
-            icache: ICache::default(),
-            icache_enabled: true,
             sblocks: SuperCache::default(),
             sblocks_enabled: !superblocks_forced_off(),
         }
@@ -158,42 +158,15 @@ impl Cpu {
         Self::default()
     }
 
-    /// Enables or disables the predecoded instruction cache.
-    ///
-    /// The cache is semantically transparent (validated against live memory
-    /// on every hit); disabling it forces the decode-every-step slow path,
-    /// which differential tests and benchmarks use as the reference.
-    pub fn set_icache_enabled(&mut self, enabled: bool) {
-        self.icache_enabled = enabled;
-    }
-
-    /// Is the predecoded instruction cache in use?
-    #[must_use]
-    pub fn icache_enabled(&self) -> bool {
-        self.icache_enabled
-    }
-
-    /// Drops every cached decode (the table allocation is kept).
-    ///
-    /// Never required for correctness — entries are validated on hit — but
-    /// lets long-lived cores shed entries for code that will not run again.
-    pub fn flush_icache(&mut self) {
-        self.icache.flush();
-    }
-
-    /// Instruction-cache hit/miss counters since construction.
-    #[must_use]
-    pub fn icache_stats(&self) -> ICacheStats {
-        self.icache.stats()
-    }
-
     /// Enables or disables superblock (block-at-a-time) dispatch.
     ///
-    /// Like the instruction cache, superblocks are semantically transparent
-    /// (reuse is validated against live page write-generations); disabling
-    /// them makes [`Cpu::step_block_into`] degrade to one [`Cpu::step_into`]
-    /// per call. When [`superblocks_forced_off`] reports the
-    /// `MSP430_FORCE_STEP` override, dispatch stays off regardless.
+    /// Superblocks are semantically transparent (reuse is validated against
+    /// live page write-generations); disabling them makes
+    /// [`Cpu::step_block_into`] degrade to one decode-every-step
+    /// [`Cpu::step_into`] per call — the reference oracle that differential
+    /// tests and benchmarks compare against. When [`superblocks_forced_off`]
+    /// reports the `MSP430_FORCE_STEP` override, dispatch stays off
+    /// regardless.
     pub fn set_superblocks_enabled(&mut self, enabled: bool) {
         self.sblocks_enabled = enabled && !superblocks_forced_off();
     }
@@ -228,11 +201,12 @@ impl Cpu {
     }
 
     /// Re-initialises the architectural state (registers and pending IRQ)
-    /// while keeping the warm instruction cache.
+    /// while keeping the stitched superblocks warm.
     ///
     /// This is the batch-verification reuse hook: one core replays many
-    /// proofs of the same operation, and the cached decodes stay valid
-    /// across proofs because every hit is validated against live memory.
+    /// proofs of the same operation, and the stitched blocks stay valid
+    /// across proofs because every dispatch checks the code pages'
+    /// write-generations.
     pub fn reset_regs(&mut self) {
         self.regs = RegFile::new();
         self.pending_irq = None;
@@ -352,12 +326,14 @@ impl Cpu {
             }
         }
 
-        // Fetch + decode, through the predecoded cache when possible.
-        let (insn, cycles) = self.fetch_decode(bus, pc0)?;
+        let (insn, len) = decode_at(bus, pc0).map_err(|err| CpuFault::Decode { at: pc0, err })?;
+        // PC advances past the instruction before it executes (PC-operand
+        // semantics).
+        self.regs.set(Reg::PC, pc0.wrapping_add(len * 2));
         self.execute(bus, &insn, &mut step.accesses);
         step.next_pc = self.regs.pc();
         step.insn = Some(insn);
-        step.cycles = cycles;
+        step.cycles = insn_cycles(&insn);
         Ok(())
     }
 
@@ -428,7 +404,7 @@ impl Cpu {
                     step.insn = Some(bi.insn);
                     step.cycles = bi.cycles;
                     // PC advances past the instruction before it executes,
-                    // exactly as fetch_decode does (PC-operand semantics).
+                    // exactly as step_into does (PC-operand semantics).
                     self.regs.set(Reg::PC, bi.next_pc);
                     self.execute(bus, &bi.insn, &mut step.accesses);
                     step.next_pc = self.regs.pc();
@@ -515,15 +491,11 @@ impl Cpu {
             {
                 break;
             }
-            let mut cursor =
-                FetchCursor { bus, pc0: pc, words: [0; MAX_INSN_WORDS], prefetched: 0, n: 0 };
-            let first = cursor.next_word();
-            let Ok(insn) = Insn::decode(pc, first, || cursor.next_word()) else {
+            let Ok((insn, len)) = decode_at(bus, pc) else {
                 // Undecodable: end the block before it; the single-step
                 // fallback at this PC reproduces the fault.
                 break;
             };
-            let len = cursor.n as u16;
             let last = pc.wrapping_add((len - 1) * 2);
             if page_base(last) != entry_page {
                 match bus.page_generation(last) {
@@ -543,85 +515,6 @@ impl Cpu {
         } else {
             Some(block)
         }
-    }
-
-    /// Resolves the instruction at `pc0` via a two-tier cache check:
-    ///
-    /// 1. **Generation fast path** — if the bus's page write-generations
-    ///    still match the entry's stamp, the encoding bytes are provably
-    ///    unchanged and the hit is accepted with no memory reads at all.
-    /// 2. **Validation path** — otherwise the cached words are compared
-    ///    against the live words (read exactly as the decoder would read
-    ///    them); a match re-stamps the entry, a mismatch (or a miss) runs
-    ///    the decoder and caches the result.
-    fn fetch_decode(&mut self, bus: &mut impl Bus, pc0: u16) -> Result<(Insn, u32), CpuFault> {
-        let mut live = [0u16; MAX_INSN_WORDS];
-        let mut prefetched = 0usize;
-        if self.icache_enabled {
-            if let Some(entry) = self.icache.lookup(pc0) {
-                let len = usize::from(entry.len_words);
-                let last = pc0.wrapping_add((entry.len_words - 1) as u16 * 2);
-                if let Some(stamp) = entry.stamp {
-                    let fresh = match bus.page_generation(pc0) {
-                        Some((id, lo)) if id == stamp.id && lo == stamp.lo => {
-                            same_gen_page(pc0, last)
-                                || bus.page_generation(last) == Some((stamp.id, stamp.hi))
-                        }
-                        _ => false,
-                    };
-                    if fresh {
-                        self.icache.note_hit();
-                        self.regs.set(Reg::PC, pc0.wrapping_add(len as u16 * 2));
-                        return Ok((entry.insn, entry.cycles));
-                    }
-                }
-                let mut matched = true;
-                for (i, cached) in entry.words.iter().enumerate().take(len) {
-                    let w = bus.read_word(pc0.wrapping_add(i as u16 * 2));
-                    live[i] = w;
-                    prefetched = i + 1;
-                    if w != *cached {
-                        matched = false;
-                        break;
-                    }
-                }
-                if matched {
-                    self.icache.note_hit();
-                    self.regs.set(Reg::PC, pc0.wrapping_add(len as u16 * 2));
-                    self.icache.restamp(pc0, encoding_stamp(bus, pc0, last));
-                    return Ok((entry.insn, entry.cycles));
-                }
-            }
-        }
-        self.decode_slow(bus, pc0, live, prefetched)
-    }
-
-    /// The decode-every-step path. `words[..prefetched]` were already read
-    /// by a failed cache validation; instruction length is a function of
-    /// the first word alone, so the decoder always consumes at least the
-    /// prefetched words and the bus-read sequence stays identical to a pure
-    /// uncached decode.
-    fn decode_slow(
-        &mut self,
-        bus: &mut impl Bus,
-        pc0: u16,
-        words: [u16; MAX_INSN_WORDS],
-        prefetched: usize,
-    ) -> Result<(Insn, u32), CpuFault> {
-        self.icache.note_miss();
-        let mut cursor = FetchCursor { bus, pc0, words, prefetched, n: 0 };
-        let first = cursor.next_word();
-        let insn = Insn::decode(pc0, first, || cursor.next_word())
-            .map_err(|err| CpuFault::Decode { at: pc0, err })?;
-        let (n, words) = (cursor.n, cursor.words);
-        self.regs.set(Reg::PC, pc0.wrapping_add(n as u16 * 2));
-        let cycles = insn_cycles(&insn);
-        if self.icache_enabled && n > 0 && n <= MAX_INSN_WORDS {
-            let last = pc0.wrapping_add((n as u16 - 1) * 2);
-            let stamp = encoding_stamp(bus, pc0, last);
-            self.icache.insert(pc0, words, n, insn, cycles, stamp);
-        }
-        Ok((insn, cycles))
     }
 
     /// Runs until the PC reaches `stop_pc`, the CPU halts/faults, or
@@ -928,54 +821,18 @@ fn ends_block(insn: &Insn) -> bool {
     }
 }
 
-/// True when `a` and `b` fall in the same bus write-generation page.
-#[inline]
-fn same_gen_page(a: u16, b: u16) -> bool {
-    usize::from(a) / crate::mem::GEN_PAGE_BYTES == usize::from(b) / crate::mem::GEN_PAGE_BYTES
-}
-
-/// Builds the generation stamp covering an encoding spanning `pc0..=last`
-/// (inclusive of `last`'s word), or `None` when the bus tracks no
-/// generations for either end.
-#[inline]
-fn encoding_stamp(bus: &impl Bus, pc0: u16, last: u16) -> Option<Stamp> {
-    let (id, lo) = bus.page_generation(pc0)?;
-    let hi = if same_gen_page(pc0, last) {
-        lo
-    } else {
-        let (id2, hi) = bus.page_generation(last)?;
-        if id2 != id {
-            return None;
-        }
-        hi
-    };
-    Some(Stamp { id, lo, hi })
-}
-
-/// Instruction-stream word source for the slow decode path: replays words
-/// already read by a failed cache validation, then fetches further words
-/// from the bus.
-struct FetchCursor<'a, B: Bus> {
-    bus: &'a mut B,
-    pc0: u16,
-    words: [u16; MAX_INSN_WORDS],
-    prefetched: usize,
-    n: usize,
-}
-
-impl<B: Bus> FetchCursor<'_, B> {
-    fn next_word(&mut self) -> u16 {
-        let i = self.n;
-        self.n += 1;
-        if i < self.prefetched {
-            return self.words[i];
-        }
-        let w = self.bus.read_word(self.pc0.wrapping_add(i as u16 * 2));
-        if i < MAX_INSN_WORDS {
-            self.words[i] = w;
-        }
+/// Fetches and decodes the instruction at `pc`, returning it with its
+/// length in words.
+fn decode_at(bus: &mut impl Bus, pc: u16) -> Result<(Insn, u16), DecodeError> {
+    let mut len = 0u16;
+    let mut fetch = || {
+        let w = bus.read_word(pc.wrapping_add(len * 2));
+        len += 1;
         w
-    }
+    };
+    let first = fetch();
+    let insn = Insn::decode(pc, first, fetch)?;
+    Ok((insn, len))
 }
 
 #[cfg(test)]
@@ -1241,44 +1098,36 @@ mod tests {
         assert_eq!(s.cycles, 5);
     }
 
-    #[test]
-    fn icache_hits_on_reexecution() {
-        // add r10, r10 executed twice from the same address: miss then hit.
-        let mut ram = Ram::new();
-        ram.load_words(0xE000, &[0x5A0A]);
-        let mut cpu = Cpu::new();
-        cpu.set_pc(0xE000);
-        cpu.step(&mut ram).unwrap();
-        assert_eq!(cpu.icache_stats().hits, 0);
-        assert_eq!(cpu.icache_stats().misses, 1);
-        cpu.set_pc(0xE000);
-        let s = cpu.step(&mut ram).unwrap();
-        assert_eq!(cpu.icache_stats().hits, 1);
-        assert_eq!(s.cycles, 1);
-        assert!(s.accesses.is_empty(), "register-only insn performs no data access");
+    /// Runs one block dispatch of at most `limit` steps from `pc`,
+    /// returning the last observed step.
+    fn dispatch_at(cpu: &mut Cpu, ram: &mut Ram, pc: u16, limit: usize) -> Step {
+        cpu.set_pc(pc);
+        let mut step = Step::default();
+        let mut last = Step::default();
+        cpu.step_block_into(ram, 0xFFFF, limit, &mut step, |_, _, s| last = *s)
+            .expect("dispatch ok");
+        last
     }
 
     #[test]
     fn self_modifying_code_forces_redecode() {
-        // Cache `mov #1, r5` at 0xE006, then execute the store at 0xE000
-        // that overwrites it with `mov #2, r6`; re-running 0xE006 must
-        // execute the *new* instruction.
+        // Stitch `mov #1, r5` at 0xE006, then execute the store at 0xE000
+        // that overwrites it with `mov #2, r6`; re-dispatching 0xE006 must
+        // execute the *new* instruction from a re-stitched block.
         let mut ram = Ram::new();
         ram.load_words(0xE000, &[0x40B2, 0x4326, 0xE006]); // mov #0x4326, &0xE006
-        ram.load_words(0xE006, &[0x4315]); // mov #1, r5
+        ram.load_words(0xE006, &[0x4315, 0x3FFF]); // mov #1, r5 ; jmp .
         let mut cpu = Cpu::new();
-        cpu.set_pc(0xE006);
-        cpu.step(&mut ram).unwrap(); // caches 0xE006 as `mov #1, r5`
+        dispatch_at(&mut cpu, &mut ram, 0xE006, 1); // stitches 0xE006 as `mov #1, r5`
         assert_eq!(cpu.reg(Reg::R5), 1);
 
-        cpu.set_pc(0xE000);
-        cpu.step(&mut ram).unwrap(); // the CPU itself patches 0xE006
+        dispatch_at(&mut cpu, &mut ram, 0xE000, 1); // the CPU itself patches 0xE006
         assert_eq!(ram.read_word(0xE006), 0x4326);
 
-        let misses_before = cpu.icache_stats().misses;
-        cpu.set_pc(0xE006);
-        let s = cpu.step(&mut ram).unwrap();
+        let before = cpu.superblock_stats();
+        let s = dispatch_at(&mut cpu, &mut ram, 0xE006, 1);
         assert_eq!(cpu.reg(Reg::R6), 2, "new instruction must execute");
+        assert_eq!(cpu.reg(Reg::R5), 1, "stale instruction must not run again");
         assert_eq!(
             s.insn,
             Some(Insn::Two {
@@ -1288,77 +1137,57 @@ mod tests {
                 dst: Operand::Reg(Reg::R6),
             })
         );
-        assert!(cpu.icache_stats().misses > misses_before, "stale entry must re-decode");
+        if !superblocks_forced_off() {
+            let after = cpu.superblock_stats();
+            assert_eq!(after.restitches, before.restitches + 1, "stale block must re-stitch");
+        }
     }
 
     #[test]
     fn external_write_to_code_forces_redecode() {
         // Mutation that bypasses the CPU entirely (DMA / debugger / image
-        // reload): validation on hit still catches it.
+        // reload): the page write-generation check still catches it.
         let mut ram = Ram::new();
-        ram.load_words(0xE000, &[0x5A0A]); // add r10, r10
+        ram.load_words(0xE000, &[0x5A0A, 0x3FFF]); // add r10, r10 ; jmp .
         let mut cpu = Cpu::new();
         cpu.set_reg(Reg::R10, 21);
-        cpu.set_pc(0xE000);
-        cpu.step(&mut ram).unwrap();
+        dispatch_at(&mut cpu, &mut ram, 0xE000, 1);
         assert_eq!(cpu.reg(Reg::R10), 42);
         ram.load_words(0xE000, &[0x4A0B]); // mov r10, r11
-        cpu.set_pc(0xE000);
-        let s = cpu.step(&mut ram).unwrap();
+        let before = cpu.superblock_stats();
+        let s = dispatch_at(&mut cpu, &mut ram, 0xE000, 1);
         assert_eq!(cpu.reg(Reg::R10), 42, "old add must not run again");
         assert_eq!(cpu.reg(Reg::R11), 42);
         assert!(matches!(s.insn, Some(Insn::Two { op: Op2::Mov, .. })));
+        if !superblocks_forced_off() {
+            let after = cpu.superblock_stats();
+            assert_eq!(after.restitches, before.restitches + 1, "stale block must re-stitch");
+        }
     }
 
     #[test]
     fn write_straddling_last_byte_of_cached_insn_forces_redecode() {
         // `mov #0xAA55, &0x0200` is three words (0xE000..=0xE005). After
-        // caching it, rewrite only its LAST byte (0xE005, the high byte of
-        // the destination address): re-execution must store to the new
-        // destination, not the cached one.
+        // stitching it, rewrite only its LAST byte (0xE005, the high byte
+        // of the destination address): re-execution must store to the new
+        // destination, not the stitched one.
         let mut ram = Ram::new();
-        ram.load_words(0xE000, &[0x40B2, 0xAA55, 0x0200]);
+        ram.load_words(0xE000, &[0x40B2, 0xAA55, 0x0200, 0x3FFF]);
         let mut cpu = Cpu::new();
-        cpu.set_pc(0xE000);
-        cpu.step(&mut ram).unwrap();
+        dispatch_at(&mut cpu, &mut ram, 0xE000, 1);
         assert_eq!(ram.read_word(0x0200), 0xAA55);
 
         ram.load_bytes(0xE005, &[0x03]); // &0x0200 → &0x0300
-        cpu.set_pc(0xE000);
-        let s = cpu.step(&mut ram).unwrap();
+        let before = cpu.superblock_stats();
+        let s = dispatch_at(&mut cpu, &mut ram, 0xE000, 1);
         assert_eq!(ram.read_word(0x0300), 0xAA55, "store must follow the patched operand");
         let w: Vec<_> = s.writes().collect();
         assert_eq!(w[0].addr, 0x0300);
-        assert_eq!(cpu.icache_stats().hits, 0, "a straddled patch can never hit");
-    }
-
-    #[test]
-    fn disabled_icache_never_hits() {
-        let mut ram = Ram::new();
-        ram.load_words(0xE000, &[0x5A0A, 0x3FFE]); // add ; jmp -2
-        let mut cpu = Cpu::new();
-        cpu.set_icache_enabled(false);
-        assert!(!cpu.icache_enabled());
-        cpu.set_pc(0xE000);
-        for _ in 0..10 {
-            cpu.step(&mut ram).unwrap();
+        if !superblocks_forced_off() {
+            let after = cpu.superblock_stats();
+            assert_eq!(after.hits, before.hits, "a straddled patch can never hit");
+            assert_eq!(after.restitches, before.restitches + 1, "stale block must re-stitch");
         }
-        assert_eq!(cpu.icache_stats().hits, 0);
-        assert_eq!(cpu.icache_stats().misses, 10);
-    }
-
-    #[test]
-    fn flush_icache_drops_entries() {
-        let mut ram = Ram::new();
-        ram.load_words(0xE000, &[0x5A0A]);
-        let mut cpu = Cpu::new();
-        cpu.set_pc(0xE000);
-        cpu.step(&mut ram).unwrap();
-        cpu.flush_icache();
-        cpu.set_pc(0xE000);
-        cpu.step(&mut ram).unwrap();
-        assert_eq!(cpu.icache_stats().hits, 0);
-        assert_eq!(cpu.icache_stats().misses, 2);
     }
 
     #[test]
@@ -1390,7 +1219,6 @@ mod tests {
         let a = cpu.step(&mut ram).unwrap();
         let b = fork.step(&mut ram).unwrap();
         assert_eq!(a, b);
-        assert_eq!(fork.icache_stats().hits, 0, "clone starts with a cold cache");
     }
 
     /// Drives `cpu` for exactly `steps` instructions through the block

@@ -50,18 +50,18 @@
 pub mod cpu;
 pub mod cycles;
 pub mod flags;
-mod icache;
 pub mod isa;
 pub mod layout;
 pub mod mem;
 pub mod periph;
 pub mod platform;
 pub mod regs;
+mod superblock;
 pub mod trace;
 
 pub use cpu::{superblocks_forced_off, Cpu, CpuFault, Step};
-pub use icache::{process_superblock_stats, BlockBreaks, ICacheStats, SuperblockStats};
 pub use isa::{Insn, Operand};
 pub use mem::{Access, AccessBuf, AccessKind, Bus, Ram};
 pub use platform::Platform;
 pub use regs::Reg;
+pub use superblock::{process_superblock_stats, BlockBreaks, SuperblockStats};

@@ -166,9 +166,10 @@ pub trait Bus {
     /// bus instance for the lifetime of the process, and the generation is
     /// bumped on **every** mutation of any byte in the page, through any
     /// path. A matching stamp therefore proves the page's bytes are
-    /// unchanged since the stamp was taken, letting the instruction cache
-    /// accept a hit without re-reading the encoding words. The default —
-    /// `None` — means "untracked": callers must validate by reading.
+    /// unchanged since the stamp was taken, letting a cached superblock be
+    /// reused without re-reading its encoding words. The default —
+    /// `None` — means "untracked": no block is stitched there, and code in
+    /// the page is decoded on every step.
     fn page_generation(&self, _addr: u16) -> Option<(u64, u64)> {
         None
     }

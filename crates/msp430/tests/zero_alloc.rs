@@ -31,33 +31,22 @@ fn steady_state_step_loop_is_allocation_free() {
     let mut ram = Ram::new();
     ram.load_words(0xE000, &[0x5A0A, 0x4A82, 0x0200, 0x4211, 0x0200, 0x3FFA]);
 
+    // The decode-every-step path (the dispatch oracle) must not allocate:
+    // decoding reads straight from the bus into the caller's `Step`.
     let mut cpu = Cpu::new();
+    cpu.set_superblocks_enabled(false);
     cpu.set_pc(0xE000);
     cpu.set_reg(Reg::R10, 1);
     let mut step = Step::default();
 
-    // Warm-up: the first cached decode lazily allocates the icache table.
     for _ in 0..64 {
         cpu.step_into(&mut ram, &mut step).expect("warm-up step");
     }
-
     let before = allocations();
     for _ in 0..100_000 {
         cpu.step_into(&mut ram, &mut step).expect("steady-state step");
     }
-    assert_eq!(allocations() - before, 0, "cached fast path must not allocate");
-
-    // The decode-every-step slow path must be allocation-free too: the
-    // icache only changes *when* decoding happens, not its cost model.
-    cpu.set_icache_enabled(false);
-    for _ in 0..64 {
-        cpu.step_into(&mut ram, &mut step).expect("slow-path warm-up");
-    }
-    let before = allocations();
-    for _ in 0..100_000 {
-        cpu.step_into(&mut ram, &mut step).expect("slow-path step");
-    }
-    assert_eq!(allocations() - before, 0, "uncached decode path must not allocate");
+    assert_eq!(allocations() - before, 0, "forced decode path must not allocate");
 
     // Sanity: the harness actually counts (one boxed value = ≥1 count).
     let before = allocations();
@@ -85,7 +74,7 @@ fn steady_state_superblock_dispatch_is_allocation_free() {
     cpu.set_reg(Reg::R10, 1);
     let mut step = Step::default();
 
-    // Warm-up: stitches the loop's blocks (and the icache under them).
+    // Warm-up: stitches the loop's blocks.
     let mut warmed = 0usize;
     while warmed < 64 {
         warmed += cpu

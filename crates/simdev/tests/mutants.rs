@@ -1,7 +1,7 @@
 //! The mutation-engine oracle, property-tested: randomly parameterized
 //! mutants from every attack family, forged against every scenario, must
 //! produce exactly the verdict class their mutation requires — never an
-//! acceptance, never a panic — under all three verifier dispatch
+//! acceptance, never a panic — under both verifier dispatch
 //! configurations.
 
 use proptest::prelude::*;
@@ -12,7 +12,9 @@ use simdev::{MutantForge, Mutation};
 use std::sync::OnceLock;
 use vrased::KeyStore;
 
-const DISPATCHES: [(bool, bool); 3] = [(false, false), (true, false), (true, true)];
+/// The `superblocks` flag of both dispatch configurations: forced decode,
+/// superblock block-at-a-time.
+const DISPATCHES: [bool; 2] = [false, true];
 
 /// One forge per scenario, built once: each construction runs a full
 /// honest device round, so the property cases share them.
@@ -67,14 +69,14 @@ proptest! {
         let case = forge.forge(&m);
         let verifier = DialedVerifier::new(forge.op().clone(), forge.keystore().clone());
         let mut verdicts = Vec::new();
-        for (icache, superblocks) in DISPATCHES {
+        for superblocks in DISPATCHES {
             let mut ws = EmuWorkspace::new();
-            ws.set_dispatch(icache, superblocks);
+            ws.set_dispatch(superblocks);
             let report =
                 verifier.verify_in(&mut ws, &VerifyRequest::new(&case.proof, &case.challenge));
             if let Err(e) = case.expected.check(&report) {
                 return Err(TestCaseError::fail(format!(
-                    "{} / {:?} (icache={icache}, superblocks={superblocks}): {e}",
+                    "{} / {:?} (superblocks={superblocks}): {e}",
                     forge.scenario_name(),
                     case.mutation,
                 )));
