@@ -173,15 +173,8 @@ impl NetFleetBench {
             assert_eq!(info.stop, StopReason::ReachedStop, "{}", scenario.name);
             lanes[i % conns].push((id, dev));
         }
-        let handle = fleet::NetServer::spawn(
-            fleet,
-            fleet::NetConfig {
-                drain_interval: std::time::Duration::from_millis(5),
-                drain_pending: (devices / 4).clamp(16, 256),
-                ..fleet::NetConfig::default()
-            },
-        )
-        .expect("bind loopback server");
+        let handle = fleet::NetServer::spawn(fleet, fleet::NetConfig::default())
+            .expect("bind loopback server");
         let lanes = lanes
             .into_iter()
             .map(|devices| NetLane {

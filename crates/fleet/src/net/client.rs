@@ -6,6 +6,7 @@
 use crate::wire::{self, ChallengeMsg, FrameReader, IssueMsg, Message, ProofMsg, SubmitMsg};
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 /// A blocking protocol client over one TCP connection.
 #[derive(Debug)]
@@ -69,6 +70,16 @@ impl NetClient {
             }
             self.frames.feed(&buf[..n]);
         }
+    }
+
+    /// Bounds how long [`recv`](Self::recv) blocks; `None` waits forever.
+    /// A `recv` that times out fails with `WouldBlock` or `TimedOut`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket errors (a zero duration is refused).
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.sock.set_read_timeout(timeout)
     }
 
     /// Pipelines an `Issue` request for `device`; returns the request id

@@ -24,7 +24,7 @@ enum Exit {
     /// dead, its in-flight verdicts are undeliverable.
     Peer,
     /// Server shutdown: the socket is still healthy, the writer must stay
-    /// deliverable for the final drain.
+    /// deliverable for shutdown's drains.
     Quiesce,
 }
 
@@ -113,8 +113,11 @@ fn read_loop(
                 loop {
                     match frames.poll() {
                         Ok(Some(msg)) => {
+                            // Counted once handed on, so `frames_in` never
+                            // runs ahead of what the core can receive.
+                            let ok = dispatch(conn, msg, core_tx, reply_tx, shared);
                             bump(&shared.stats.frames_in);
-                            if !dispatch(conn, msg, core_tx, reply_tx, shared) {
+                            if !ok {
                                 return Exit::Peer;
                             }
                         }

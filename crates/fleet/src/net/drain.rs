@@ -140,8 +140,9 @@ impl NetServerHandle {
     /// 2. join the acceptor, then every reader (they quiesce within one
     ///    poll interval, leaving their sockets open for replies);
     /// 3. close the command channel — the core applies the entire
-    ///    remaining backlog, runs a final [`Fleet::drain`], emits every
-    ///    in-flight verdict, and returns the [`Fleet`];
+    ///    remaining backlog, drains what it leaves pending, emits every
+    ///    in-flight verdict, runs a backstop [`Fleet::drain`], and
+    ///    returns the [`Fleet`];
     /// 4. join the writers — they flush those final frames and send FIN.
     ///
     /// In-flight submissions are accepted work: every one of them gets

@@ -27,8 +27,8 @@
 //! * **Multiplexing.** Many devices share one connection; every request
 //!   carries a client-chosen `request` id and every reply echoes it, so
 //!   batch verdicts can return out of order (verification is batched —
-//!   a submission's verdict arrives after the *next drain*, interleaved
-//!   with other devices' traffic on the same socket).
+//!   a submission's verdict arrives after the drain that verified it,
+//!   interleaved with other devices' traffic on the same socket).
 //! * **Hostile-input defense.** Each connection reads through a
 //!   [`FrameReader`](crate::wire::FrameReader) with a frame-size cap
 //!   ([`NetConfig::max_frame`]) and a stalled-frame deadline
@@ -40,17 +40,27 @@
 //!   against [`NetConfig::shed_watermark`] and answers
 //!   [`RejectReason::Overloaded`] — explicit backpressure instead of
 //!   unbounded queueing.
+//! * **Work-conserving drains.** The core verifies as soon as proofs are
+//!   pending: after each request it applies whatever else is already
+//!   queued (up to [`NetConfig::drain_pending`] pending proofs, and for
+//!   at most one [`NetConfig::drain_interval`] since the last drain),
+//!   then drains. A lightly loaded core verifies each proof as it
+//!   arrives; a busy one builds larger batches from the backlog a drain
+//!   leaves. A flood of requests that add no proof (issues, shed
+//!   submits) cannot push drains further apart than the interval.
 //! * **Wall clock → logical clock.** The fleet's deadlines are logical
 //!   ticks; the core derives `now` from elapsed wall time
-//!   ([`NetConfig::tick`]) and runs a drain at least every
-//!   [`NetConfig::drain_interval`], so sessions expire on real time even
-//!   when no traffic arrives.
+//!   ([`NetConfig::tick`]) and sweeps every [`NetConfig::drain_interval`]
+//!   — a drain even with no traffic, so sessions expire on real time,
+//!   plus a prune of resolved sessions.
 //! * **Graceful drain.** [`NetServerHandle::shutdown`] stops the
 //!   acceptor, quiesces readers, lets the core chew through the command
-//!   backlog, runs a final [`Fleet::drain`](crate::Fleet::drain), flushes
-//!   every in-flight verdict through the writers, and only then closes —
-//!   no accepted submission loses its verdict. The `Fleet` comes back out
-//!   for inspection or reuse.
+//!   backlog (draining whatever it leaves pending, as it always does),
+//!   flushes every in-flight verdict through the writers, and only then
+//!   closes — no accepted submission loses its verdict. A final
+//!   [`Fleet::drain`](crate::Fleet::drain) after the loop is a backstop
+//!   that normally finds nothing owed. The `Fleet` comes back out for
+//!   inspection or reuse.
 //!
 //! The module family: [`server`](self) core + acceptor live in
 //! `server.rs`, per-connection reader/writer threads in `conn.rs`, the
@@ -97,11 +107,15 @@ pub struct NetConfig {
     /// Per-shard ingest depth at which submissions are shed with
     /// [`Overloaded`](dialed::report::RejectReason::Overloaded).
     pub shed_watermark: usize,
-    /// Fleet-wide pending count that triggers an immediate drain instead
-    /// of waiting out [`drain_interval`](Self::drain_interval).
+    /// Flood cap: the fleet-wide pending count at which the core stops
+    /// applying its queued requests and drains. The core drains as soon
+    /// as its inbox is empty anyway; this only bounds how large a batch
+    /// a backlog can build.
     pub drain_pending: usize,
-    /// Maximum wall time between drains — the verdict-latency bound, and
-    /// the cadence of wall-clock session expiry under idle load.
+    /// Sweep cadence: how often the core drains even when idle, so
+    /// sessions expire on wall time, and prunes resolved sessions. Not a
+    /// latency bound on a free core (it drains as soon as proofs are
+    /// pending); on a busy core, the longest gap between drains.
     pub drain_interval: Duration,
     /// Wall-time length of one logical tick (the unit of the fleet's
     /// challenge deadlines).
@@ -298,7 +312,7 @@ pub(crate) enum CoreMsg {
     /// The peer went away (EOF, socket error, or a protocol violation) —
     /// the core forgets the connection and its undeliverable in-flight
     /// verdicts. *Not* sent when a reader quiesces for shutdown: those
-    /// connections stay registered so the final drain can still deliver.
+    /// connections stay registered so shutdown's drains can still deliver.
     ConnClosed { conn: u64 },
     /// A management-plane operation against the live fleet (device
     /// deregistration, epoch rotation, …), run on the core thread between

@@ -141,16 +141,41 @@ impl Core {
         u64::try_from(self.start.elapsed().as_nanos() / tick).unwrap_or(u64::MAX)
     }
 
-    /// Processes commands until every sender is gone, draining on a wall
-    /// clock; then runs the final drain and flushes in-flight verdicts.
-    /// Returns the fleet to the shutdown path.
+    /// Processes commands until every sender is gone, then runs the final
+    /// drain and flushes in-flight verdicts. Returns the fleet to the
+    /// shutdown path.
+    ///
+    /// Work-conserving: after each command the core applies everything
+    /// already queued behind it — until the inbox is empty,
+    /// [`NetConfig::drain_pending`] proofs are pending, or
+    /// [`NetConfig::drain_interval`] has passed since the last drain — and
+    /// then drains whatever is pending. A verdict never waits on a timer
+    /// while the core is free, and a busy core still drains at least once
+    /// per interval, as a timer-driven one would. Under load the backlog
+    /// grows between drains, and so do the batches. The interval also
+    /// paces the sweeps: a drain on an idle server (wall-clock expiry)
+    /// and the pruning of resolved sessions.
+    ///
+    /// Once every sender is gone the loop has already drained whatever
+    /// the backlog left pending, so the final drain is a backstop.
     fn run(mut self, rx: &Receiver<CoreMsg>) -> Fleet {
-        let mut last_drain = Instant::now();
+        let (interval, cap) = (self.shared.cfg.drain_interval, self.shared.cfg.drain_pending);
+        let mut last_sweep = Instant::now();
+        let mut last_drain = last_sweep;
         loop {
-            match rx.recv_timeout(self.shared.cfg.drain_interval) {
+            match rx.recv_timeout(interval) {
                 Ok(msg) => {
                     let now = self.now();
                     self.handle(msg, now);
+                    // Requests that add no pending proof (issues, shed
+                    // submits, admin calls) never reach the cap, so the
+                    // interval bounds the loop too: a flood of them
+                    // cannot hold back a verdict already owed.
+                    while self.fleet.pending() < cap && last_drain.elapsed() < interval {
+                        let Ok(msg) = rx.try_recv() else { break };
+                        let now = self.now();
+                        self.handle(msg, now);
+                    }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 // All senders gone: the acceptor, every reader, and the
@@ -158,13 +183,22 @@ impl Core {
                 // so the whole backlog has been applied. Shut down.
                 Err(RecvTimeoutError::Disconnected) => break,
             }
-            let due = last_drain.elapsed() >= self.shared.cfg.drain_interval;
-            if due || self.fleet.pending() >= self.shared.cfg.drain_pending {
+            let sweep = last_sweep.elapsed() >= interval;
+            if sweep || self.fleet.pending() > 0 {
                 self.drain();
                 last_drain = Instant::now();
             }
+            if sweep {
+                // Pruning scans every retained session and commits a
+                // durable record per shard, so it runs at the sweep
+                // cadence rather than after every drain.
+                let now = self.now();
+                self.fleet.prune_resolved(now);
+                last_sweep = Instant::now();
+            }
         }
-        // Final drain: resolve everything accepted, emit every verdict.
+        // Backstop: the loop drained before it could see the disconnect,
+        // so nothing should be owed; resolve and emit anything that is.
         // Dropping `replies` afterwards lets the writers flush and exit.
         self.drain();
         debug_assert!(self.inflight.is_empty(), "final drain left verdicts unemitted");
@@ -258,12 +292,7 @@ impl Core {
                                 stats.note_reject(reason);
                             }
                         }
-                        send_to(
-                            replies,
-                            stats,
-                            conn,
-                            &Message::Verdict(VerdictMsg { request, body }),
-                        );
+                        send_to(replies, conn, &Message::Verdict(VerdictMsg { request, body }));
                     }
                     false
                 }
@@ -272,16 +301,15 @@ impl Core {
                     let reason =
                         RejectReason::from(crate::SessionError::Expired { deadline: s.deadline });
                     stats.note_reject(&reason);
-                    send_to(replies, stats, conn, &Message::Reject(RejectMsg { request, reason }));
+                    send_to(replies, conn, &Message::Reject(RejectMsg { request, reason }));
                     false
                 }
             }
         });
-        self.fleet.prune_resolved(now);
     }
 
     fn send(&self, conn: u64, msg: &Message) {
-        send_to(&self.replies, &self.shared.stats, conn, msg);
+        send_to(&self.replies, conn, msg);
     }
 
     fn reject(&self, conn: u64, request: u64, reason: RejectReason) {
@@ -292,12 +320,7 @@ impl Core {
 
 /// Hands an encoded frame to a connection's writer; a vanished writer
 /// (peer already gone) just drops the frame.
-fn send_to(
-    replies: &HashMap<u64, Sender<Vec<u8>>>,
-    _stats: &super::StatsInner,
-    conn: u64,
-    msg: &Message,
-) {
+fn send_to(replies: &HashMap<u64, Sender<Vec<u8>>>, conn: u64, msg: &Message) {
     if let Some(tx) = replies.get(&conn) {
         let _ = tx.send(wire::encode(msg));
     }

@@ -1,14 +1,20 @@
 //! The TCP frontend, end to end over loopback: honest round trips with
 //! request multiplexing, load shedding at the ingest watermark, graceful
-//! drain flushing every in-flight verdict, and wall-clock session expiry.
+//! drain flushing every in-flight verdict, verdicts that never wait for
+//! the sweep timer on a free core and at most one interval on a busy one,
+//! and wall-clock session expiry.
 
 use dialed::attest::DialedDevice;
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
 use dialed::report::{RejectClass, RejectReason, Verdict};
 use fleet::wire::Message;
-use fleet::{DeviceId, Fleet, FleetConfig, NetClient, NetConfig, NetServer};
+use fleet::{
+    DeviceId, Fleet, FleetConfig, NetClient, NetConfig, NetServer, NetServerHandle, StateEvent,
+};
 use std::collections::HashMap;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 const OP_SRC: &str = "\
     .org 0xE000\nop:\n mov r15, r10\n add r14, r10\n mov r10, &0x0060\n ret\n";
@@ -93,70 +99,91 @@ fn honest_devices_round_trip_multiplexed() {
     assert_eq!(fleet.pending(), 0, "graceful shutdown drains ingest");
 }
 
+/// Parks the core thread inside an admin closure, runs `queue` (which
+/// sends `frames` requests), waits until all of them have been handed to
+/// the core, and releases it. The core then applies the whole backlog
+/// before its next drain, so the requests see each other's queue depth.
+fn with_core_parked<R>(handle: &NetServerHandle, frames: u64, queue: impl FnOnce() -> R) -> R {
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            handle
+                .admin(move |_| {
+                    parked_tx.send(()).unwrap();
+                    // A dropped sender (the test panicked) releases too.
+                    let _ = release_rx.recv();
+                })
+                .expect("server alive");
+        });
+        parked_rx.recv().expect("core parked");
+        let before = handle.stats().frames_in;
+        let out = queue();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.stats().frames_in < before + frames {
+            assert!(Instant::now() < deadline, "queued requests never reached the core");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release_tx.send(()).unwrap();
+        out
+    })
+}
+
 #[test]
 fn submissions_past_the_watermark_are_shed() {
     let (fleet, mut devices) = fleet_with_devices(
         6,
         FleetConfig { workers: Some(1), shards: 1, ..FleetConfig::default() },
     );
-    // Tiny watermark, drains effectively disabled: the queue backs up and
-    // the shed path must answer with explicit backpressure.
-    let handle = NetServer::spawn(
-        fleet,
-        NetConfig {
-            shed_watermark: 2,
-            drain_interval: Duration::from_secs(3600),
-            drain_pending: usize::MAX,
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
+    // Tiny watermark, and every submit queued behind a parked core: the
+    // queue backs up and the shed path must answer with explicit
+    // backpressure.
+    let handle =
+        NetServer::spawn(fleet, NetConfig { shed_watermark: 2, ..NetConfig::default() }).unwrap();
 
     let mut client = NetClient::connect(handle.addr()).unwrap();
-    let mut accepted = Vec::new();
-    let mut shed = 0u64;
-    for (id, device) in &mut devices {
-        let chal = client.request_challenge(id.0).unwrap().expect("grant");
-        let req = client.submit(proof_for(device, &chal)).unwrap();
-        // With drains off, replies to accepted submissions never arrive
-        // mid-run — only shed rejects do. Distinguish by queue position:
-        // the first `watermark` submissions are accepted silently.
-        if accepted.len() < 2 {
-            accepted.push(req);
-        } else {
-            match client.recv().unwrap() {
-                Message::Reject(r) => {
-                    assert_eq!(r.request, req);
-                    match r.reason {
-                        RejectReason::Overloaded { pending } => {
-                            assert_eq!(pending, 2, "shed reports the observed depth");
-                        }
-                        other => panic!("expected Overloaded, got {other:?}"),
-                    }
-                    shed += 1;
-                }
-                other => panic!("expected shed reject, got {other:?}"),
-            }
-        }
-    }
-    assert_eq!(shed, 4, "every submission past the watermark is shed");
+    let chals: Vec<_> = devices
+        .iter()
+        .map(|(id, _)| client.request_challenge(id.0).unwrap().expect("grant"))
+        .collect();
+    let reqs: Vec<u64> = with_core_parked(&handle, chals.len() as u64, || {
+        devices
+            .iter_mut()
+            .zip(&chals)
+            .map(|((_, device), chal)| client.submit(proof_for(device, chal)).unwrap())
+            .collect()
+    });
+    // Queue position decides: the first `watermark` submissions are
+    // accepted, every later one sees the depth at 2 and is shed.
+    let (accepted, past) = reqs.split_at(2);
 
-    // Graceful shutdown still owes the accepted two their verdicts.
+    // Graceful shutdown still owes the accepted two their verdicts; they
+    // may arrive before or after it, interleaved with the shed rejects.
     let (_, stats) = handle.shutdown().expect("no server thread may panic");
     assert_eq!(stats.shed, 4);
     assert_eq!(stats.submitted, 2);
-    let mut flushed = Vec::new();
+    let (mut flushed, mut shed) = (Vec::new(), Vec::new());
     loop {
         match client.recv() {
             Ok(Message::Verdict(v)) => flushed.push(v.request),
-            Ok(other) => panic!("expected verdict, got {other:?}"),
+            Ok(Message::Reject(r)) => {
+                match r.reason {
+                    RejectReason::Overloaded { pending } => {
+                        assert_eq!(pending, 2, "shed reports the observed depth");
+                    }
+                    other => panic!("expected Overloaded, got {other:?}"),
+                }
+                shed.push(r.request);
+            }
+            Ok(other) => panic!("expected verdict or shed reject, got {other:?}"),
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
             Err(e) => panic!("client read failed: {e}"),
         }
     }
+    shed.sort_unstable();
+    assert_eq!(shed, past, "every submission past the watermark is shed");
     flushed.sort_unstable();
-    accepted.sort_unstable();
-    assert_eq!(flushed, accepted, "shutdown flushes exactly the accepted submissions");
+    assert_eq!(flushed, accepted, "exactly the accepted submissions get verdicts");
 }
 
 #[test]
@@ -166,30 +193,26 @@ fn graceful_drain_loses_no_inflight_verdict() {
         n,
         FleetConfig { workers: Some(2), shards: 4, ..FleetConfig::default() },
     );
-    // Drains disabled: every verdict owed at shutdown is still queued.
-    let handle = NetServer::spawn(
-        fleet,
-        NetConfig {
-            drain_interval: Duration::from_secs(3600),
-            drain_pending: usize::MAX,
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
+    let handle = NetServer::spawn(fleet, NetConfig::default()).unwrap();
 
     let mut client = NetClient::connect(handle.addr()).unwrap();
-    let mut submit_reqs = Vec::new();
-    for (id, device) in &mut devices {
-        let chal = client.request_challenge(id.0).unwrap().expect("grant");
-        submit_reqs.push(client.submit(proof_for(device, &chal)).unwrap());
-    }
-    // Barrier: one more issue. Its grant proves the core has consumed
-    // every pipelined submit ahead of it on this connection.
-    let _ = client.request_challenge(devices[0].0 .0).unwrap().expect("grant");
+    let chals: Vec<_> = devices
+        .iter()
+        .map(|(id, _)| client.request_challenge(id.0).unwrap().expect("grant"))
+        .collect();
+    // Every submit is queued behind the parked core; shutdown starts as
+    // soon as it is released, while their verification is still owed.
+    let mut submit_reqs: Vec<u64> = with_core_parked(&handle, n, || {
+        devices
+            .iter_mut()
+            .zip(&chals)
+            .map(|((_, device), chal)| client.submit(proof_for(device, chal)).unwrap())
+            .collect()
+    });
 
     let (fleet, stats) = handle.shutdown().expect("no server thread may panic");
     assert_eq!(stats.submitted, n, "all submissions were accepted before shutdown");
-    assert_eq!(stats.verdicts, n, "the final drain emitted every in-flight verdict");
+    assert_eq!(stats.verdicts, n, "every in-flight verdict was emitted");
 
     let mut flushed: Vec<u64> = Vec::new();
     loop {
@@ -207,6 +230,160 @@ fn graceful_drain_loses_no_inflight_verdict() {
     submit_reqs.sort_unstable();
     assert_eq!(flushed, submit_reqs, "every accepted submission got its verdict frame");
     assert_eq!(fleet.pending(), 0);
+}
+
+#[test]
+fn verdicts_do_not_wait_for_the_sweep_timer() {
+    let (fleet, mut devices) = fleet_with_devices(
+        1,
+        FleetConfig { workers: Some(1), shards: 1, ..FleetConfig::default() },
+    );
+    // No sweep in the test's lifetime: only pending work can trigger the
+    // drain that answers the submit.
+    let handle = NetServer::spawn(
+        fleet,
+        NetConfig { drain_interval: Duration::from_secs(3600), ..NetConfig::default() },
+    )
+    .unwrap();
+
+    let mut client = NetClient::connect(handle.addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let (id, device) = &mut devices[0];
+    let chal = client.request_challenge(id.0).unwrap().expect("grant");
+    let req = client.submit(proof_for(device, &chal)).unwrap();
+    match client.recv().expect("verdict before the read timeout") {
+        Message::Verdict(v) => {
+            assert_eq!(v.request, req);
+            assert_eq!(v.body.report.verdict, Verdict::Clean, "{:?}", v.body.report);
+        }
+        other => panic!("expected verdict, got {other:?}"),
+    }
+
+    let (_, stats) = handle.shutdown().expect("no server thread may panic");
+    assert_eq!(stats.verdicts, 1);
+}
+
+/// A core that never finds its inbox empty still drains at least once
+/// per `drain_interval`. Requests that add no pending proof (issues, shed or rejected
+/// submits, admin calls) never trigger the flood cap, so a steady stream
+/// of them must not hold back a verdict that is already owed. Slow admin
+/// calls from four callers stand in for such a stream: while the core
+/// runs one, the others are already queued behind it.
+#[test]
+fn a_busy_inbox_cannot_hold_back_a_pending_verdict() {
+    let (fleet, mut devices) = fleet_with_devices(
+        1,
+        FleetConfig { workers: Some(1), shards: 1, ..FleetConfig::default() },
+    );
+    let handle = NetServer::spawn(fleet, NetConfig::default()).unwrap();
+
+    let mut client = NetClient::connect(handle.addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let (id, device) = &mut devices[0];
+    let chal = client.request_challenge(id.0).unwrap().expect("grant");
+    let stop = AtomicBool::new(false);
+    let admin_calls = AtomicU64::new(0);
+    let reply = std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    handle
+                        .admin(|_| std::thread::sleep(Duration::from_millis(2)))
+                        .expect("server alive");
+                    admin_calls.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        while admin_calls.load(Ordering::Relaxed) < 4 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let req = client.submit(proof_for(device, &chal)).unwrap();
+        let reply = client.recv();
+        stop.store(true, Ordering::Relaxed);
+        (req, reply)
+    });
+    match reply {
+        (req, Ok(Message::Verdict(v))) => {
+            assert_eq!(v.request, req);
+            assert_eq!(v.body.report.verdict, Verdict::Clean, "{:?}", v.body.report);
+        }
+        (_, other) => panic!("expected a verdict before the read timeout, got {other:?}"),
+    }
+
+    let (_, stats) = handle.shutdown().expect("no server thread may panic");
+    assert_eq!(stats.verdicts, 1);
+}
+
+#[test]
+fn drains_between_sweeps_commit_no_prune_record() {
+    let dir = std::env::temp_dir()
+        .join(format!("dialed-net-server-test-{}-no-prune", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
+    // 1 ms ticks, 500-tick sessions: the first round's sessions are
+    // prunable by the time the second round drains.
+    let mut fleet = Fleet::durable(
+        &dir,
+        FleetConfig { workers: Some(1), shards: 2, challenge_ttl: 500, ..FleetConfig::default() },
+    )
+    .unwrap();
+    let op_id = fleet.register_op("adder", op.clone(), vec![]);
+    let mut devices: Vec<_> = (0..4)
+        .map(|seed| {
+            let id = fleet.register_device(op_id, seed).unwrap();
+            (id, DialedDevice::new(op.clone(), fleet.device_keystore(id).unwrap()))
+        })
+        .collect();
+    // Every submit drains at once (`drain_pending: 1`), but no sweep is
+    // due while the test runs.
+    let handle = NetServer::spawn(
+        fleet,
+        NetConfig {
+            tick: Duration::from_millis(1),
+            drain_pending: 1,
+            drain_interval: Duration::from_secs(3600),
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
+
+    let mut client = NetClient::connect(handle.addr()).unwrap();
+    let mut attest = |client: &mut NetClient| {
+        for (id, device) in &mut devices {
+            let chal = client.request_challenge(id.0).unwrap().expect("grant");
+            let req = client.submit(proof_for(device, &chal)).unwrap();
+            match client.recv().unwrap() {
+                Message::Verdict(v) => assert_eq!(v.request, req),
+                other => panic!("expected verdict, got {other:?}"),
+            }
+        }
+    };
+    attest(&mut client);
+    std::thread::sleep(Duration::from_millis(600));
+    attest(&mut client);
+
+    let (fleet, stats) = handle.shutdown().expect("no server thread may panic");
+    assert_eq!(stats.verdicts, 8);
+    drop(fleet);
+    let mut events = Vec::new();
+    for shard in std::fs::read_dir(&dir).unwrap() {
+        let shard = shard.unwrap().path();
+        if !shard.is_dir() {
+            continue;
+        }
+        for file in std::fs::read_dir(&shard).unwrap() {
+            let file = file.unwrap().path();
+            if file.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with("wal-")) {
+                events.extend(fleet::store::read_events(&file).unwrap());
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!events.is_empty(), "the shard WALs hold the run's events");
+    assert!(
+        !events.iter().any(|ev| matches!(ev, StateEvent::PruneSweep { .. })),
+        "a drain with no sweep due committed a PruneSweep record"
+    );
 }
 
 #[test]

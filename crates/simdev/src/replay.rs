@@ -352,11 +352,7 @@ pub fn replay_in_process(cases: &[CorpusCase]) -> Result<ReplayStats, String> {
 /// The first I/O, determinism, expectation, or accounting violation.
 pub fn replay_over_net(cases: &[CorpusCase]) -> Result<(ReplayStats, NetStats), String> {
     let fleet = canonical_fleet();
-    let cfg = NetConfig {
-        tick: Duration::from_secs(3600),
-        drain_interval: Duration::from_millis(10),
-        ..NetConfig::default()
-    };
+    let cfg = NetConfig { tick: Duration::from_secs(3600), ..NetConfig::default() };
     let handle = NetServer::spawn(fleet, cfg).map_err(|e| format!("spawn: {e}"))?;
     let mut client = NetClient::connect(handle.addr()).map_err(|e| format!("connect: {e}"))?;
     let mut stats = ReplayStats { cases: cases.len(), ..ReplayStats::default() };
